@@ -167,11 +167,11 @@ func buildLocal(sf float64, tenants int, mode string, ttid int64) (backend, erro
 	return &localBackend{inst: inst, conn: conn}, nil
 }
 
-func (b *localBackend) C() int64                                 { return b.conn.C() }
-func (b *localBackend) Exec(sql string) (*engine.Result, error)  { return b.conn.Exec(sql) }
-func (b *localBackend) Stream(sql string) (rowStream, error)     { return b.conn.QueryRows(sql) }
-func (b *localBackend) Prepare(sql string) (prepStmt, error)     { return b.conn.Prepare(sql) }
-func (b *localBackend) SetLevel(l optimizer.Level) error         { b.conn.SetOptLevel(l); return nil }
+func (b *localBackend) C() int64                                { return b.conn.C() }
+func (b *localBackend) Exec(sql string) (*engine.Result, error) { return b.conn.Exec(sql) }
+func (b *localBackend) Stream(sql string) (rowStream, error)    { return b.conn.QueryRows(sql) }
+func (b *localBackend) Prepare(sql string) (prepStmt, error)    { return b.conn.Prepare(sql) }
+func (b *localBackend) SetLevel(l optimizer.Level) error        { b.conn.SetOptLevel(l); return nil }
 
 func (b *localBackend) Explain(sql string) (string, error) {
 	rewritten, err := b.conn.RewriteSQL(sql)

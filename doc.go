@@ -21,10 +21,11 @@
 //     per statement; whole statement plans are cached on the DB keyed by
 //     SQL text and invalidated by referenced-table versions and DDL
 //     (engine/plan.go); the tree-walking interpreter remains the
-//     row-at-a-time fallback behind the same kernels
-//     (DB.SetCompileExprs(false) selects it), and the classic
-//     materialize-everything executor is retained as the differential
-//     oracle (DB.SetStreamExec(false)). The client API is Prepare → Stmt →
+//     reference semantics (DB.SetCompileExprs(false) selects it) and then
+//     feeds the same batch loops as lifted per-row kernels, and the
+//     classic materialize-everything executor, whose row-at-a-time loops
+//     are the reference, is retained as the differential oracle
+//     (DB.SetStreamExec(false)). The client API is Prepare → Stmt →
 //     Query(args...) → Rows (engine/stmt.go, engine/rows.go): statements
 //     carry ? / $n bind parameters resolved per execution (one cached plan
 //     serves every binding), Rows pulls the operator tree batch-at-a-time

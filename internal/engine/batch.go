@@ -18,10 +18,7 @@ package engine
 // differential property test (property_test.go) holds the two paths to
 // identical results and identical errors.
 
-import (
-	"mtbase/internal/sqlast"
-	"mtbase/internal/sqltypes"
-)
+import "mtbase/internal/sqltypes"
 
 // BatchSize is the number of rows operators exchange per step in batched
 // execution. Benchmark artifacts record it so BENCH_*.json files stay
@@ -152,9 +149,7 @@ func encodeKeyCols(buf []byte, cols [][]sqltypes.Value, i int32) []byte {
 
 // batchOp is the pull-based operator interface of the batched executor:
 // next fills b with the operator's next batch and reports whether one was
-// produced. Both execution modes run behind it — the compiled path refines
-// selection vectors with vectorized kernels, the interpreter fallback
-// evaluates row-at-a-time inside the same batches.
+// produced.
 type batchOp interface {
 	next(b *Batch) bool
 }
@@ -181,18 +176,14 @@ func (s *scanOp) next(b *Batch) bool {
 	return true
 }
 
-// filterOp refines each input batch's selection vector with a conjunct list.
-// In compiled mode every conjunct is a vectorized program looping over the
-// selection vector; with compilation disabled the same operator evaluates the
-// conjuncts through the tree-walking interpreter one row at a time. A batch
-// is only surfaced when rows survive; on a poisoned row the operator stops
-// and exposes the first failing row's error via failed.
+// filterOp refines each input batch's selection vector with a conjunct list:
+// one program per conjunct, each a loop over the selection vector (compiled
+// kernels, or interpreter kernels with compilation disabled). A batch is
+// only surfaced when rows survive; on a poisoned row the operator stops and
+// exposes the first failing row's error via failed.
 type filterOp struct {
 	src    batchOp
-	ex     *exec
-	sc     *scope        // row context for interpreted conjuncts
-	progs  []vecExpr     // compiled mode: one program per conjunct
-	exprs  []sqlast.Expr // interpreter mode: the conjunct expressions
+	progs  []vecExpr
 	out    []sqltypes.Value
 	selBuf []int32
 	failed error
@@ -203,11 +194,7 @@ func (f *filterOp) next(b *Batch) bool {
 		return false
 	}
 	for f.src.next(b) {
-		if f.progs != nil {
-			f.applyVec(b)
-		} else {
-			f.applyInterp(b)
-		}
+		f.apply(b)
 		if f.failed != nil {
 			return false
 		}
@@ -218,7 +205,16 @@ func (f *filterOp) next(b *Batch) bool {
 	return false
 }
 
-func (f *filterOp) applyVec(b *Batch) {
+// filterProgs compiles one batch program per conjunct.
+func (ex *exec) filterProgs(conjs []*conjunct, bindings []*binding, sc *scope) []vecExpr {
+	progs := make([]vecExpr, len(conjs))
+	for i, c := range conjs {
+		progs[i] = ex.vecCompile(c.expr, bindings, sc)
+	}
+	return progs
+}
+
+func (f *filterOp) apply(b *Batch) {
 	sel := b.sel
 	for _, prog := range f.progs {
 		if len(sel) == 0 {
@@ -240,30 +236,6 @@ func (f *filterOp) applyVec(b *Batch) {
 	}
 	b.sel = sel
 	f.failed = b.firstErr()
-}
-
-func (f *filterOp) applyInterp(b *Batch) {
-	f.selBuf = growSel(f.selBuf, len(b.sel))
-	kept := f.selBuf[:0]
-	for _, i := range b.sel {
-		f.sc.row = b.rows[i]
-		keep := true
-		for _, e := range f.exprs {
-			v, err := f.ex.eval(e, f.sc)
-			if err != nil {
-				f.failed = err
-				return
-			}
-			if truth, _ := sqltypes.Truthy(v); !truth {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			kept = append(kept, i)
-		}
-	}
-	b.sel = kept
 }
 
 // ---------------------------------------------------------------- row chunks
@@ -297,7 +269,8 @@ func (c *rowChunk) concat(l, r []sqltypes.Value) []sqltypes.Value {
 	return c.buf[off:len(c.buf):len(c.buf)]
 }
 
-// concatRows is the row-at-a-time counterpart used by the interpreter paths.
+// concatRows is the row-at-a-time counterpart used by the materializing
+// executor and the Grace join's partition joins.
 func concatRows(l, r []sqltypes.Value, width int) []sqltypes.Value {
 	row := make([]sqltypes.Value, 0, width)
 	row = append(row, l...)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"mtbase/internal/sqltypes"
@@ -61,25 +62,82 @@ func TestSelectionVectorFilterEdgeCases(t *testing.T) {
 // TestBatchedErrorIsFirstRowError pins the poisoning discipline: batched
 // evaluation must surface the error of the first failing row in row order —
 // including rows whose failure the interpreter would only reach on a later
-// conjunct — with the identical message.
+// conjunct, key or argument — with the identical message, whichever
+// expression tier (compiled or interpreted) and executor (streamed or
+// materialized) runs it. Most inputs plant two different errors in one
+// batch: rows from 900 on fail the first expression evaluated (division by
+// zero), rows 700–899 fail a later one (string arithmetic). Row-at-a-time
+// evaluation raises row 700's error; column-at-a-time evaluation reaches
+// the division errors first and must still report row 700's.
 func TestBatchedErrorIsFirstRowError(t *testing.T) {
 	db := Open(ModePostgres)
-	if _, err := db.ExecSQL("CREATE TABLE t (a INTEGER, s VARCHAR)"); err != nil {
+	if _, err := db.ExecScript(`
+		CREATE TABLE t (a INTEGER, s VARCHAR);
+		CREATE TABLE u (k INTEGER, k2 INTEGER)`); err != nil {
 		t.Fatal(err)
 	}
-	tab := db.Table("t")
+	tab, utab := db.Table("t"), db.Table("u")
 	for i := 0; i < 1500; i++ {
 		tab.AppendRow([]sqltypes.Value{sqltypes.NewInt(int64(i)), sqltypes.NewString("x")})
+		utab.AppendRow([]sqltypes.Value{sqltypes.NewInt(int64(i % 7)), sqltypes.NewInt(int64(i))})
 	}
-	// s + 1 errors for every row; the filter a >= 700 short-circuits it for
-	// earlier rows, so row 700 is the first failing row on both paths.
-	sql := "SELECT a FROM t WHERE a >= 700 AND s + 1 > 0"
-	_, _, ierr, cerr := runBothPaths(db, sql)
-	if ierr == nil || cerr == nil {
-		t.Fatalf("expected errors, got %v / %v", ierr, cerr)
+	const (
+		k1 = "t.a / CASE WHEN t.a >= 900 THEN 0 ELSE 1 END"   // fails from row 900
+		k2 = "CASE WHEN t.a >= 700 THEN t.s + 1 ELSE t.a END" // fails from row 700
+	)
+	cases := []struct {
+		name     string
+		sql      string
+		memLimit int64
+	}{
+		// s + 1 errors for every row; the filter a >= 700 short-circuits it
+		// for earlier rows, so row 700 is the first failing row everywhere.
+		{"filter conjuncts", "SELECT a FROM t WHERE a >= 700 AND s + 1 > 0", 0},
+		{"projection", "SELECT " + k1 + ", " + k2 + " FROM t", 0},
+		{"index probe keys", "SELECT t.a FROM t, u WHERE " + k1 + " = u.k AND " + k2 + " = u.k2", 0},
+		{"hash probe keys", "SELECT t.a FROM t, u WHERE " + k1 + " = u.k + 0 AND " + k2 + " = u.k2 + 0", 0},
+		{"left outer probe keys", "SELECT t.a FROM t LEFT JOIN u ON " + k1 + " = u.k AND " + k2 + " = u.k2", 0},
+		// Row 700 fails its residual ON conjunct; the keys of rows 900 on,
+		// computed first for the whole batch, must not overtake it.
+		{"left outer residual before probe keys", "SELECT t.a FROM t LEFT JOIN u ON (" + k1 + ") % 700 = u.k2 AND (" + k2 + ") + u.k > -1", 0},
+		{"left outer probe keys, Grace", "SELECT t.a FROM t LEFT JOIN u ON " + k1 + " = u.k AND " + k2 + " = u.k2", 16 << 10},
+		{"group keys", "SELECT COUNT(*) FROM t GROUP BY " + k1 + ", " + k2, 0},
+		{"aggregate arguments", "SELECT a % 3, SUM(" + k1 + " + " + k2 + ") FROM t GROUP BY a % 3", 0},
+		{"aggregate arguments, spilled groups", "SELECT a % 3, SUM(" + k1 + " + " + k2 + ") FROM t GROUP BY a % 3", 16 << 10},
+		{"delete predicate", "DELETE FROM t WHERE (a >= 900 AND a / 0 > 0) OR (a >= 700 AND s + 1 > 0)", 0},
 	}
-	if ierr.Error() != cerr.Error() {
-		t.Fatalf("error mismatch:\n  interp:  %v\n  batched: %v", ierr, cerr)
+	defer func() {
+		db.SetCompileExprs(true)
+		db.SetStreamExec(true)
+		db.SetMemoryLimit(0)
+	}()
+	for _, c := range cases {
+		db.SetMemoryLimit(c.memLimit)
+		var first error
+		for _, compiled := range []bool{true, false} {
+			for _, streamed := range []bool{true, false} {
+				db.SetCompileExprs(compiled)
+				db.SetStreamExec(streamed)
+				_, err := db.ExecSQL(c.sql)
+				if err == nil {
+					t.Fatalf("%s: compiled=%v streamed=%v: expected an error", c.name, compiled, streamed)
+				}
+				if first == nil {
+					first = err
+					continue
+				}
+				if err.Error() != first.Error() {
+					t.Fatalf("%s: compiled=%v streamed=%v: error mismatch:\n  got:  %v\n  want: %v",
+						c.name, compiled, streamed, err, first)
+				}
+			}
+		}
+		if strings.Contains(first.Error(), "zero") {
+			t.Fatalf("%s: a later row's error surfaced before row 700's: %v", c.name, first)
+		}
+	}
+	if n := len(tab.Heap()); n != 1500 {
+		t.Fatalf("failed DELETE changed the table: %d rows", n)
 	}
 }
 

@@ -168,9 +168,9 @@ type catalog struct {
 	funcs  map[string]*Function
 }
 
-func (c *catalog) table(name string) *Table         { return c.tables[strings.ToLower(name)] }
-func (c *catalog) function(name string) *Function   { return c.funcs[strings.ToLower(name)] }
-func (c *catalog) view(name string) *sqlast.Select  { return c.views[strings.ToLower(name)] }
+func (c *catalog) table(name string) *Table        { return c.tables[strings.ToLower(name)] }
+func (c *catalog) function(name string) *Function  { return c.funcs[strings.ToLower(name)] }
+func (c *catalog) view(name string) *sqlast.Select { return c.views[strings.ToLower(name)] }
 
 // clone returns a shallow copy of the catalog with fresh maps, the
 // starting point for every DDL mutation.
@@ -232,8 +232,11 @@ type DB struct {
 }
 
 // SetCompileExprs toggles the compiled-expression fast path (on by
-// default). Turning it off forces the tree-walking interpreter; results
-// must be identical either way.
+// default). Turning it off forces the tree-walking interpreter for every
+// expression: it then feeds the same batch loops as lifted per-row kernels,
+// and only the materializing executor (SetStreamExec(false)) keeps
+// row-at-a-time loops as the reference. Results must be identical either
+// way.
 func (db *DB) SetCompileExprs(on bool) { db.noCompile = !on }
 
 // SetStreamExec toggles the pull-based operator executor (on by default).
@@ -977,72 +980,47 @@ func (db *DB) delete(ex *exec, del *sqlast.Delete) (*Result, error) {
 	}
 	sc := tableScope(t)
 	heap := t.Heap()
-	// Both paths stage the kept rows in a fresh slice and publish once at
-	// the end: the snapshot is pristine for the whole scan — predicates with
-	// subqueries over the same table observe identical state row-at-a-time
-	// and batch-ahead, an erroring predicate publishes nothing, and
-	// concurrent readers keep their pinned heap.
-	if del.Where != nil && !db.noCompile {
-		// Batched path: the predicate runs column-wise per batch; the
-		// keep/drop walk then follows row order, so the first poisoned row
-		// aborts exactly where the row loop would have stopped.
-		vpred := ex.vecCompile(del.Where, sc.bindings, sc)
-		kept := make([][]sqltypes.Value, 0, len(heap))
-		affected := 0
-		src := scanOp{rows: heap}
-		var b Batch
-		for src.next(&b) {
-			if err := ex.cancelled(); err != nil {
-				return nil, err
-			}
-			m := ex.vs.mark()
-			predCol := ex.vs.takeVals(len(b.rows))
-			vpred(&b, b.sel, predCol)
-			for i := range b.rows {
-				if b.errs[i] != nil {
-					return nil, b.errs[i]
-				}
-				if truth, _ := sqltypes.Truthy(predCol[i]); truth {
-					affected++
-				} else {
-					kept = append(kept, b.rows[i])
-				}
-			}
-			ex.vs.release(m)
-		}
-		if affected > 0 {
-			t.publish(kept)
-		}
-		return &Result{Affected: affected}, nil
-	}
-	var pred compiledExpr
+	// The kept rows are staged in a fresh slice and published once at the
+	// end: the snapshot is pristine for the whole scan — predicates with
+	// subqueries over the same table observe identical state for every row,
+	// an erroring predicate publishes nothing, and concurrent readers keep
+	// their pinned heap. The predicate runs column-wise per batch; the
+	// keep/drop walk then follows row order, so the first poisoned row
+	// aborts exactly where a row loop would have stopped. A nil predicate
+	// deletes every row.
+	var vpred vecExpr
 	if del.Where != nil {
-		pred = ex.compile(del.Where, sc.bindings, sc)
+		vpred = ex.vecCompile(del.Where, sc.bindings, sc)
 	}
 	kept := make([][]sqltypes.Value, 0, len(heap))
 	affected := 0
-	for _, row := range heap {
-		sc.row = row
-		drop := del.Where == nil
-		if del.Where != nil {
-			var v sqltypes.Value
-			var err error
-			if pred != nil {
-				v, err = pred(ex, row)
+	src := scanOp{rows: heap}
+	var b Batch
+	for src.next(&b) {
+		if err := ex.cancelled(); err != nil {
+			return nil, err
+		}
+		m := ex.vs.mark()
+		var predCol []sqltypes.Value
+		if vpred != nil {
+			predCol = ex.vs.takeVals(len(b.rows))
+			vpred(&b, b.sel, predCol)
+		}
+		for i := range b.rows {
+			if b.errs[i] != nil {
+				return nil, b.errs[i]
+			}
+			drop := vpred == nil
+			if !drop {
+				drop, _ = sqltypes.Truthy(predCol[i])
+			}
+			if drop {
+				affected++
 			} else {
-				v, err = ex.eval(del.Where, sc)
+				kept = append(kept, b.rows[i])
 			}
-			if err != nil {
-				return nil, err
-			}
-			truth, _ := sqltypes.Truthy(v)
-			drop = truth
 		}
-		if drop {
-			affected++
-		} else {
-			kept = append(kept, row)
-		}
+		ex.vs.release(m)
 	}
 	if affected > 0 {
 		t.publish(kept)

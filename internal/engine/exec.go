@@ -503,7 +503,8 @@ func (ex *exec) projectGrouped(sel *sqlast.Select, rel *relation, parent *scope,
 		}
 		gr.rows = append(gr.rows, row)
 	}
-	if gks := ex.vecKeys(groupExprs, rel.bindings, sc); gks != nil {
+	if !ex.db.noCompile {
+		gks := ex.vecKeys(groupExprs, rel.bindings, sc)
 		// Batched grouping: key expressions run column-wise per batch, rows
 		// are bucketed from the precomputed key columns in row order.
 		src := scanOp{rows: rel.rows}
@@ -569,9 +570,10 @@ func (ex *exec) projectGrouped(sel *sqlast.Select, rel *relation, parent *scope,
 			aggExprs = append(aggExprs, p.expr)
 		}
 	}
-	aggVec := ex.vecAggArgs(rel.bindings, sc, aggExprs...)
+	var aggVec map[sqlast.Expr]vecExpr
 	var aggScr *aggScratch
-	if aggVec != nil {
+	if !ex.db.noCompile {
+		aggVec = ex.vecAggArgs(rel.bindings, sc, aggExprs...)
 		aggScr = &aggScratch{}
 	}
 
@@ -931,18 +933,31 @@ func (ex *exec) filterRelation(r *relation, conjs []*conjunct, parent *scope) (*
 		return out, nil
 	}
 	sc := r.scopeFor(parent)
-	f := &filterOp{src: &scanOp{rows: rows}, ex: ex, sc: sc}
-	if !ex.db.noCompile {
-		f.progs = make([]vecExpr, len(rest))
-		for i, c := range rest {
-			f.progs[i] = ex.vecCompile(c.expr, r.bindings, sc)
+	if ex.db.noCompile {
+		// Interpreter fallback: row-at-a-time filter, each row's conjuncts
+		// in order up to the first that fails or is not true.
+	next:
+		for ri, row := range rows {
+			if ri&(BatchSize-1) == 0 {
+				if err := ex.cancelled(); err != nil {
+					return nil, err
+				}
+			}
+			sc.row = row
+			for _, c := range rest {
+				v, err := ex.eval(c.expr, sc)
+				if err != nil {
+					return nil, err
+				}
+				if truth, _ := sqltypes.Truthy(v); !truth {
+					continue next
+				}
+			}
+			out.rows = append(out.rows, row)
 		}
-	} else {
-		f.exprs = make([]sqlast.Expr, len(rest))
-		for i, c := range rest {
-			f.exprs[i] = c.expr
-		}
+		return out, nil
 	}
+	f := &filterOp{src: &scanOp{rows: rows}, progs: ex.filterProgs(rest, r.bindings, sc)}
 	var b Batch
 	for f.next(&b) {
 		if err := ex.cancelled(); err != nil {
@@ -1095,7 +1110,10 @@ func (ex *exec) hashJoin(l, r *relation, pairs []equiPair, parent *scope) (*rela
 		return out, nil
 	}
 	lsc := l.scopeFor(parent)
-	lks := ex.vecKeys(pairExprs(pairs, false), l.bindings, lsc)
+	var lks *vecKeySet
+	if !ex.db.noCompile {
+		lks = ex.vecKeys(pairExprs(pairs, false), l.bindings, lsc)
+	}
 	// Index fast path: when the build side is an unfiltered base table and
 	// every right key is a plain column, probe the table's persistent lazy
 	// index instead of building a transient hash table. This makes the
@@ -1264,7 +1282,8 @@ func (ex *exec) buildJoinHash(r *relation, pairs []equiPair, parent *scope) (map
 		}
 		return build, nil
 	}
-	if rks := ex.vecKeys(pairExprs(pairs, true), r.bindings, rsc); rks != nil {
+	if !ex.db.noCompile {
+		rks := ex.vecKeys(pairExprs(pairs, true), r.bindings, rsc)
 		src := scanOp{rows: r.rows}
 		var b Batch
 		for src.next(&b) {
@@ -1479,7 +1498,8 @@ func (ex *exec) leftOuterJoin(l, r *relation, on sqlast.Expr, parent *scope) (*r
 		return true, nil
 	}
 	var buf []byte
-	if lks := ex.vecKeys(pairExprs(pairs, false), l.bindings, lsc); lks != nil {
+	if !ex.db.noCompile {
+		lks := ex.vecKeys(pairExprs(pairs, false), l.bindings, lsc)
 		// Batched probe: after key-column computation every row of the batch
 		// is either in the selection vector (valid keys) or flagged in the
 		// null mask (NULL key: unmatched by definition, emitted null-extended).
@@ -1503,15 +1523,12 @@ func (ex *exec) leftOuterJoin(l, r *relation, on sqlast.Expr, parent *scope) (*r
 			}
 			m := ex.vs.mark()
 			lks.compute(&b, true, nullMask)
-			if err := b.firstErr(); err != nil {
-				return nil, err
-			}
 			// Size the chunk before materializing: every candidate pair plus
 			// at most one null-extended tuple per left row.
 			total := n
 			for i := 0; i < n; i++ {
 				buckets[i] = nil
-				if !nullMask[i] {
+				if !nullMask[i] && b.errs[i] == nil {
 					buf = encodeKeyCols(buf[:0], lks.cols, int32(i))
 					buckets[i] = build[string(buf)]
 					total += len(buckets[i])
@@ -1519,6 +1536,11 @@ func (ex *exec) leftOuterJoin(l, r *relation, on sqlast.Expr, parent *scope) (*r
 			}
 			ck := newRowChunk(total, out.width)
 			for i := 0; i < n; i++ {
+				if b.errs[i] != nil {
+					// A failed key surfaces in row order, after the
+					// residual ON conjuncts of earlier rows.
+					return nil, b.errs[i]
+				}
 				matched := false
 				for _, ri := range buckets[i] {
 					combined := ck.concat(b.rows[i], r.rows[ri])

@@ -194,9 +194,8 @@ func (w *errWrapOperator) Close() { w.child.Close() }
 // ---------------------------------------------------------------- filter
 
 // filterOperator refines each input batch's selection vector with a
-// conjunct list, reusing the batched filter kernel (batch.go) in both
-// compile modes. Batches are passed through (never copied); empty batches
-// are skipped.
+// conjunct list, reusing the batched filter kernel (batch.go). Batches are
+// passed through (never copied); empty batches are skipped.
 type filterOperator struct {
 	child Operator
 	f     filterOp
@@ -205,20 +204,8 @@ type filterOperator struct {
 // newFilterOperator lowers conjuncts against the stream's schema exactly
 // like the materializing filterRelation.
 func newFilterOperator(ex *exec, child Operator, rel *relation, conjs []*conjunct, parent *scope) *filterOperator {
-	sc := rel.scopeFor(parent)
-	o := &filterOperator{child: child, f: filterOp{ex: ex, sc: sc}}
-	if !ex.db.noCompile {
-		o.f.progs = make([]vecExpr, len(conjs))
-		for i, c := range conjs {
-			o.f.progs[i] = ex.vecCompile(c.expr, rel.bindings, sc)
-		}
-	} else {
-		o.f.exprs = make([]sqlast.Expr, len(conjs))
-		for i, c := range conjs {
-			o.f.exprs[i] = c.expr
-		}
-	}
-	return o
+	progs := ex.filterProgs(conjs, rel.bindings, rel.scopeFor(parent))
+	return &filterOperator{child: child, f: filterOp{progs: progs}}
 }
 
 func (o *filterOperator) Open(ex *exec) error { return o.child.Open(ex) }
@@ -238,11 +225,7 @@ func (o *filterOperator) Next(ex *exec) (*Batch, error) {
 		if b == nil {
 			return nil, nil
 		}
-		if o.f.progs != nil {
-			o.f.applyVec(b)
-		} else {
-			o.f.applyInterp(b)
-		}
+		o.f.apply(b)
 		if o.f.failed != nil {
 			return nil, o.f.failed
 		}
@@ -273,14 +256,13 @@ type joinOperator struct {
 	pairs  []equiPair
 	parent *scope
 
-	// Build state (Open): exactly one of idx (index fast path) or
-	// build+rightRows (hash build / cross product) is used.
-	idx       *hashIndex
-	idxCols   []string
+	// Build state (Open): build maps encoded keys to rightRows ordinals —
+	// the base table's persistent index over its heap on the index fast
+	// path, a transient hash table otherwise; the cross product uses
+	// rightRows alone.
 	build     map[string][]int
 	rightRows [][]sqltypes.Value
 
-	lsc     *scope
 	lks     *vecKeySet
 	buf     []byte
 	buckets [][]int
@@ -316,9 +298,8 @@ func (j *joinOperator) Open(ex *exec) error {
 	if err := j.left.Open(ex); err != nil {
 		return err
 	}
-	j.lsc = j.lrel.scopeFor(j.parent)
 	if len(j.pairs) > 0 {
-		j.lks = ex.vecKeys(pairExprs(j.pairs, false), j.lrel.bindings, j.lsc)
+		j.lks = ex.vecKeys(pairExprs(j.pairs, false), j.lrel.bindings, j.lrel.scopeFor(j.parent))
 		// Index fast path: unfiltered base table on the build side with
 		// plain-column keys probes the table's persistent lazy index; no
 		// transient hash table is built at all.
@@ -338,7 +319,7 @@ func (j *joinOperator) Open(ex *exec) error {
 				if err != nil {
 					return err
 				}
-				j.idx, j.idxCols = idx, cols
+				j.build, j.rightRows = idx.m, j.rrel.rows
 				return nil
 			}
 		}
@@ -419,61 +400,11 @@ func (j *joinOperator) fillPending(ex *exec, b *Batch) error {
 				j.pending = append(j.pending, ck.concat(b.rows[i], rr))
 			}
 		}
-	case j.idx != nil && j.lks != nil: // compiled index probe
+	default: // index or hash probe
 		m := ex.vs.mark()
+		defer ex.vs.release(m)
 		sel := j.lks.compute(b, true, nil)
 		if err := b.firstErr(); err != nil {
-			ex.vs.release(m)
-			return err
-		}
-		if cap(j.buckets) < len(b.rows) {
-			j.buckets = make([][]int, len(b.rows))
-		}
-		total := 0
-		for _, i := range sel {
-			var ids []int
-			ids, j.buf = j.idx.probeKeyCols(j.buf, j.lks.cols, i)
-			j.buckets[i] = ids
-			total += len(ids)
-		}
-		ck := newRowChunk(total, width)
-		for _, i := range sel {
-			for _, id := range j.buckets[i] {
-				j.pending = append(j.pending, ck.concat(b.rows[i], j.rrel.rows[id]))
-			}
-		}
-		ex.vs.release(m)
-	case j.idx != nil: // interpreted index probe
-		vals := make([]sqltypes.Value, len(j.pairs))
-		for _, i := range b.sel {
-			lr := b.rows[i]
-			null := false
-			for k, p := range j.pairs {
-				j.lsc.row = lr
-				v, err := ex.eval(p.left, j.lsc)
-				if err != nil {
-					return err
-				}
-				if v.IsNull() {
-					null = true
-					break
-				}
-				vals[k] = v
-			}
-			if null {
-				continue
-			}
-			var ids []int
-			ids, j.buf = j.idx.probeBuf(j.buf, vals)
-			for _, id := range ids {
-				j.pending = append(j.pending, concatRows(lr, j.rrel.rows[id], width))
-			}
-		}
-	case j.lks != nil: // compiled hash probe
-		m := ex.vs.mark()
-		sel := j.lks.compute(b, true, nil)
-		if err := b.firstErr(); err != nil {
-			ex.vs.release(m)
 			return err
 		}
 		if cap(j.buckets) < len(b.rows) {
@@ -489,31 +420,6 @@ func (j *joinOperator) fillPending(ex *exec, b *Batch) error {
 		for _, i := range sel {
 			for _, ri := range j.buckets[i] {
 				j.pending = append(j.pending, ck.concat(b.rows[i], j.rightRows[ri]))
-			}
-		}
-		ex.vs.release(m)
-	default: // interpreted hash probe
-		for _, i := range b.sel {
-			lr := b.rows[i]
-			j.buf = j.buf[:0]
-			null := false
-			for _, p := range j.pairs {
-				j.lsc.row = lr
-				v, err := ex.eval(p.left, j.lsc)
-				if err != nil {
-					return err
-				}
-				if v.IsNull() {
-					null = true
-					break
-				}
-				j.buf = sqltypes.AppendKey(j.buf, v)
-			}
-			if null {
-				continue
-			}
-			for _, ri := range j.build[string(j.buf)] {
-				j.pending = append(j.pending, concatRows(lr, j.rightRows[ri], width))
 			}
 		}
 	}
@@ -552,7 +458,6 @@ type leftOuterOperator struct {
 	build     map[string][]int
 	rightRows [][]sqltypes.Value
 	nulls     []sqltypes.Value
-	lsc       *scope
 	osc       *scope
 	lks       *vecKeySet
 	resFns    []compiledExpr
@@ -593,9 +498,8 @@ func (o *leftOuterOperator) Open(ex *exec) error {
 		return err
 	}
 	o.nulls = make([]sqltypes.Value, o.rrel.width)
-	o.lsc = o.lrel.scopeFor(o.parent)
 	o.osc = o.orel.scopeFor(o.parent)
-	o.lks = ex.vecKeys(pairExprs(o.pairs, false), o.lrel.bindings, o.lsc)
+	o.lks = ex.vecKeys(pairExprs(o.pairs, false), o.lrel.bindings, o.lrel.scopeFor(o.parent))
 	o.resFns = make([]compiledExpr, len(o.resid))
 	for i, c := range o.resid {
 		o.resFns[i] = ex.compile(c.expr, o.orel.bindings, o.osc)
@@ -683,105 +587,75 @@ func (o *leftOuterOperator) Next(ex *exec) (*Batch, error) {
 	return &o.out, nil
 }
 
-func (o *leftOuterOperator) fillPending(ex *exec, b *Batch) error {
-	width := o.orel.width
-	if o.lks != nil {
-		// Batched probe: valid keys land in the selection vector, NULL keys
-		// in the null mask (unmatched by definition, emitted null-extended).
-		// A filtered probe stream may have dropped rows from the window: only
-		// rows still in the incoming selection participate at all.
-		n := len(b.rows)
-		if cap(o.nullMask) < n {
-			o.nullMask = make([]bool, n)
-			o.buckets = make([][]int, n)
-			o.inSel = make([]bool, n)
-		}
-		o.nullMask = o.nullMask[:n]
-		o.buckets = o.buckets[:n]
-		inSel := o.inSel[:n]
-		for i := range inSel {
-			o.nullMask[i] = false
-			inSel[i] = false
-		}
-		for _, i := range b.sel {
-			inSel[i] = true
-		}
-		m := ex.vs.mark()
-		o.lks.compute(b, true, o.nullMask)
-		if err := b.firstErr(); err != nil {
-			ex.vs.release(m)
-			return err
-		}
-		total := 0
-		for i := 0; i < n; i++ {
-			o.buckets[i] = nil
-			if !inSel[i] {
-				continue
-			}
-			total++
-			if !o.nullMask[i] {
-				o.buf = encodeKeyCols(o.buf[:0], o.lks.cols, int32(i))
-				o.buckets[i] = o.build[string(o.buf)]
-				total += len(o.buckets[i])
-			}
-		}
-		ck := newRowChunk(total, width)
-		for i := 0; i < n; i++ {
-			if !inSel[i] {
-				continue
-			}
-			matched := false
-			for _, ri := range o.buckets[i] {
-				combined := ck.concat(b.rows[i], o.rightRows[ri])
-				ok, err := o.matchResidual(ex, combined)
-				if err != nil {
-					ex.vs.release(m)
-					return err
-				}
-				if ok {
-					matched = true
-					o.pending = append(o.pending, combined)
-				}
-			}
-			if !matched {
-				o.pending = append(o.pending, ck.concat(b.rows[i], o.nulls))
-			}
-		}
-		ex.vs.release(m)
-		return nil
+// probeKeys computes the join keys of one probe batch. Rows still in the
+// incoming selection are flagged in inSel — a filtered probe stream may have
+// dropped rows from the window, and only selected rows participate at all.
+// Valid keys land in the key columns, NULL keys in nullMask (unmatched by
+// definition, emitted null-extended), and rows whose key failed are
+// poisoned in b. The key columns live on the scratch stack above the
+// returned mark; the caller releases it.
+func (o *leftOuterOperator) probeKeys(ex *exec, b *Batch) vmark {
+	n := len(b.rows)
+	if cap(o.nullMask) < n {
+		o.nullMask = make([]bool, n)
+		o.buckets = make([][]int, n)
+		o.inSel = make([]bool, n)
+	}
+	o.nullMask = o.nullMask[:n]
+	o.buckets = o.buckets[:n]
+	o.inSel = o.inSel[:n]
+	for i := range o.inSel {
+		o.nullMask[i] = false
+		o.inSel[i] = false
 	}
 	for _, i := range b.sel {
-		lr := b.rows[i]
-		o.buf = o.buf[:0]
-		null := false
-		for _, p := range o.pairs {
-			o.lsc.row = lr
-			v, err := ex.eval(p.left, o.lsc)
+		o.inSel[i] = true
+	}
+	m := ex.vs.mark()
+	o.lks.compute(b, true, o.nullMask)
+	return m
+}
+
+func (o *leftOuterOperator) fillPending(ex *exec, b *Batch) error {
+	m := o.probeKeys(ex, b)
+	defer ex.vs.release(m)
+	total := 0
+	for i := range b.rows {
+		o.buckets[i] = nil
+		if !o.inSel[i] || b.errs[i] != nil {
+			continue
+		}
+		total++
+		if !o.nullMask[i] {
+			o.buf = encodeKeyCols(o.buf[:0], o.lks.cols, int32(i))
+			o.buckets[i] = o.build[string(o.buf)]
+			total += len(o.buckets[i])
+		}
+	}
+	ck := newRowChunk(total, o.orel.width)
+	for i := range b.rows {
+		if !o.inSel[i] {
+			continue
+		}
+		if b.errs[i] != nil {
+			// A failed key surfaces in row order, after the residual ON
+			// conjuncts of earlier rows, exactly as a row-at-a-time probe.
+			return b.errs[i]
+		}
+		matched := false
+		for _, ri := range o.buckets[i] {
+			combined := ck.concat(b.rows[i], o.rightRows[ri])
+			ok, err := o.matchResidual(ex, combined)
 			if err != nil {
 				return err
 			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			o.buf = sqltypes.AppendKey(o.buf, v)
-		}
-		matched := false
-		if !null {
-			for _, ri := range o.build[string(o.buf)] {
-				combined := concatRows(lr, o.rightRows[ri], width)
-				ok, err := o.matchResidual(ex, combined)
-				if err != nil {
-					return err
-				}
-				if ok {
-					matched = true
-					o.pending = append(o.pending, combined)
-				}
+			if ok {
+				matched = true
+				o.pending = append(o.pending, combined)
 			}
 		}
 		if !matched {
-			o.pending = append(o.pending, concatRows(lr, o.nulls, width))
+			o.pending = append(o.pending, ck.concat(b.rows[i], o.nulls))
 		}
 	}
 	return nil
@@ -805,19 +679,17 @@ func (o *leftOuterOperator) Close() {
 
 // projectOperator evaluates the SELECT list (and ORDER BY key expressions)
 // batch-at-a-time, emitting dense batches of freshly chunk-allocated output
-// tuples with key columns attached. It is the streaming twin of
-// projectRowsBatched / the interpreter's projection loop.
+// tuples with key columns attached. It is the streaming twin of the
+// materializing projectRows.
 type projectOperator struct {
 	child Operator
-	rel   *relation
-	sc    *scope
 	projs []projector
 	plans []orderPlan
 	width int
 	cols  []string
 
-	vprojs []vecExpr // compiled mode; nil entries are star segments
-	vkeys  []vecExpr // compiled key expressions (outCol plans stay nil)
+	vprojs []vecExpr // nil entries are star segments
+	vkeys  []vecExpr // key expressions (outCol plans stay nil)
 
 	colBuf  [][]sqltypes.Value
 	keyBuf  [][]sqltypes.Value
@@ -834,22 +706,22 @@ func (ex *exec) newProjectOperator(child Operator, rel *relation, sel *sqlast.Se
 	}
 	plans := buildOrderPlan(sel, cols, sc, aliases)
 	projs, width := ex.buildProjectors(sel, rel)
-	o := &projectOperator{child: child, rel: rel, sc: sc, projs: projs, plans: plans, width: width, cols: cols}
-	if !ex.db.noCompile {
-		o.vprojs = make([]vecExpr, len(projs))
-		for i := range projs {
-			if !projs[i].star {
-				o.vprojs[i] = ex.vecCompile(projs[i].expr, rel.bindings, sc)
-			}
+	o := &projectOperator{
+		child: child, projs: projs, plans: plans, width: width, cols: cols,
+		vprojs: make([]vecExpr, len(projs)),
+		vkeys:  make([]vecExpr, len(plans)),
+		colBuf: make([][]sqltypes.Value, len(projs)),
+		keyBuf: make([][]sqltypes.Value, len(plans)),
+	}
+	for i := range projs {
+		if !projs[i].star {
+			o.vprojs[i] = ex.vecCompile(projs[i].expr, rel.bindings, sc)
 		}
-		o.vkeys = make([]vecExpr, len(plans))
-		for k := range plans {
-			if plans[k].outCol < 0 {
-				o.vkeys[k] = ex.vecCompile(plans[k].expr, rel.bindings, sc)
-			}
+	}
+	for k := range plans {
+		if plans[k].outCol < 0 {
+			o.vkeys[k] = ex.vecCompile(plans[k].expr, rel.bindings, sc)
 		}
-		o.colBuf = make([][]sqltypes.Value, len(projs))
-		o.keyBuf = make([][]sqltypes.Value, len(plans))
 	}
 	return o, nil
 }
@@ -869,14 +741,8 @@ func (o *projectOperator) Next(ex *exec) (*Batch, error) {
 	}
 	o.rowBuf = o.rowBuf[:0]
 	o.keyCols = resetKeyCols(o.keyCols, len(o.plans))
-	if o.vprojs != nil {
-		if err := o.projectVec(ex, b); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := o.projectInterp(ex, b); err != nil {
-			return nil, err
-		}
+	if err := o.project(ex, b); err != nil {
+		return nil, err
 	}
 	o.out.window(o.rowBuf)
 	o.out.keys = o.keyCols
@@ -884,7 +750,7 @@ func (o *projectOperator) Next(ex *exec) (*Batch, error) {
 	return &o.out, nil
 }
 
-func (o *projectOperator) projectVec(ex *exec, b *Batch) error {
+func (o *projectOperator) project(ex *exec, b *Batch) error {
 	n := len(b.rows)
 	sel := b.sel
 	m := ex.vs.mark()
@@ -936,44 +802,6 @@ func (o *projectOperator) projectVec(ex *exec, b *Batch) error {
 	return nil
 }
 
-func (o *projectOperator) projectInterp(ex *exec, b *Batch) error {
-	for _, i := range b.sel {
-		row := b.rows[i]
-		o.sc.row = row
-		out := make([]sqltypes.Value, 0, o.width)
-		for j := range o.projs {
-			p := &o.projs[j]
-			if p.star {
-				for _, seg := range p.segs {
-					out = append(out, row[seg[0]:seg[0]+seg[1]]...)
-				}
-				continue
-			}
-			v, err := ex.eval(p.expr, o.sc)
-			if err != nil {
-				return err
-			}
-			out = append(out, v)
-		}
-		o.rowBuf = append(o.rowBuf, out)
-		for k := range o.plans {
-			p := &o.plans[k]
-			var v sqltypes.Value
-			var err error
-			if p.outCol >= 0 {
-				v = out[p.outCol]
-			} else {
-				v, err = ex.eval(p.expr, o.sc)
-				if err != nil {
-					return err
-				}
-			}
-			o.keyCols[k] = append(o.keyCols[k], v)
-		}
-	}
-	return nil
-}
-
 func (o *projectOperator) Close() { o.child.Close() }
 
 // ---------------------------------------------------------------- group
@@ -992,7 +820,6 @@ type groupOperator struct {
 	cols     []string
 	plans    []orderPlan
 	having   sqlast.Expr
-	gexprs   []sqlast.Expr
 	gks      *vecKeySet
 	aggVec   map[sqlast.Expr]vecExpr
 	aggScr   *aggScratch
@@ -1068,13 +895,11 @@ func (ex *exec) newGroupOperator(child Operator, rel *relation, sel *sqlast.Sele
 	}
 	o := &groupOperator{
 		child: child, rel: rel, sel: sel, sc: sc, cols: cols, plans: plans,
-		having: having, gexprs: gexprs,
+		having:   having,
 		gks:      ex.vecKeys(gexprs, rel.bindings, sc),
 		aggVec:   ex.vecAggArgs(rel.bindings, sc, aggExprs...),
+		aggScr:   &aggScratch{},
 		aggExprs: aggExprs,
-	}
-	if o.aggVec != nil {
-		o.aggScr = &aggScratch{}
 	}
 	return o, nil
 }
@@ -1116,32 +941,17 @@ func (o *groupOperator) Open(ex *exec) error {
 		if b == nil {
 			break
 		}
-		if o.gks != nil {
-			m := ex.vs.mark()
-			gsel := o.gks.compute(b, false, nil)
-			if err := b.firstErr(); err != nil {
-				ex.vs.release(m)
-				return err
-			}
-			for _, i := range gsel {
-				buf = encodeKeyCols(buf[:0], o.gks.cols, i)
-				bucket(buf, b.rows[i])
-			}
+		m := ex.vs.mark()
+		gsel := o.gks.compute(b, false, nil)
+		if err := b.firstErr(); err != nil {
 			ex.vs.release(m)
-		} else {
-			for _, i := range b.sel {
-				o.sc.row = b.rows[i]
-				buf = buf[:0]
-				for _, g := range o.gexprs {
-					v, err := ex.eval(g, o.sc)
-					if err != nil {
-						return err
-					}
-					buf = sqltypes.AppendKey(buf, v)
-				}
-				bucket(buf, b.rows[i])
-			}
+			return err
 		}
+		for _, i := range gsel {
+			buf = encodeKeyCols(buf[:0], o.gks.cols, i)
+			bucket(buf, b.rows[i])
+		}
+		ex.vs.release(m)
 		ex.acct.charge(pend)
 		o.charged += pend
 		pend = 0
@@ -1377,9 +1187,9 @@ func (o *groupOperator) nextMerged(ex *exec) (*Batch, error) {
 // nextGroupAgg consumes the next group (one run of equal-rank records) from
 // the merge, streaming its rows through every aggregate site's accumulator
 // in ≤ batchSize chunks, and returns the group's first row, row count and
-// the per-site results. Compiled aggregate arguments run through the same
-// vectorized programs as the in-memory path, over a fresh window per site
-// per chunk so one site's poisoned rows never leak into another's.
+// the per-site results. Aggregate arguments run through the same batch
+// programs as the in-memory path, over a fresh window per site per chunk so
+// one site's poisoned rows never leak into another's.
 func (o *groupOperator) nextGroupAgg(ex *exec) ([]sqltypes.Value, int, map[*sqlast.FuncCall]precompAgg, error) {
 	seq := o.mrec.seq
 	firstRow := o.mrec.row
@@ -1398,7 +1208,6 @@ func (o *groupOperator) nextGroupAgg(ex *exec) ([]sqltypes.Value, int, map[*sqla
 		}
 		st.acc = aggAcc{op: upper, distinct: fc.Distinct}
 	}
-	sc := o.sc
 	flush := func() {
 		if len(o.chunk) == 0 {
 			return
@@ -1408,34 +1217,18 @@ func (o *groupOperator) nextGroupAgg(ex *exec) ([]sqltypes.Value, int, map[*sqla
 			if st.star || st.err != nil {
 				continue
 			}
-			arg := fc.Args[0]
-			if vecFn := o.aggVec[arg]; vecFn != nil && o.aggScr != nil {
-				o.aggB.window(o.chunk)
-				m := ex.vs.mark()
-				col := ex.vs.takeVals(len(o.chunk))
-				vecFn(&o.aggB, o.aggB.sel, col)
-				if err := o.aggB.firstErr(); err != nil {
-					st.err = err
-				} else {
-					for _, j := range o.aggB.sel {
-						st.acc.add(col[j])
-					}
+			o.aggB.window(o.chunk)
+			m := ex.vs.mark()
+			col := ex.vs.takeVals(len(o.chunk))
+			o.aggVec[fc.Args[0]](&o.aggB, o.aggB.sel, col)
+			if err := o.aggB.firstErr(); err != nil {
+				st.err = err
+			} else {
+				for _, j := range o.aggB.sel {
+					st.acc.add(col[j])
 				}
-				ex.vs.release(m)
-				continue
 			}
-			savedRow, savedGroup := sc.row, sc.group
-			sc.group = nil
-			for _, row := range o.chunk {
-				sc.row = row
-				v, err := ex.eval(arg, sc)
-				if err != nil {
-					st.err = err
-					break
-				}
-				st.acc.add(v)
-			}
-			sc.row, sc.group = savedRow, savedGroup
+			ex.vs.release(m)
 		}
 		o.chunk = o.chunk[:0]
 	}

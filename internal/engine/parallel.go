@@ -159,60 +159,36 @@ func (p *workerPool) worker(w int) *exec {
 
 // parallelAggColumn evaluates one aggregate argument expression for every
 // row of a group, morsel-parallel: workers fill disjoint ranges of one
-// output column, each through its own compiled program (or interpreter when
-// compilation is off — same per-mode semantics as the serial branches of
-// evalAggregate). The caller folds the column serially in row order.
+// output column, each through its own batch program. The caller folds the
+// column serially in row order.
 func (ex *exec) parallelAggColumn(arg sqlast.Expr, sc *scope, rows [][]sqltypes.Value) ([]sqltypes.Value, error) {
 	morsel := morselLen()
 	n := len(rows)
 	nm := (n + morsel - 1) / morsel
 	col := make([]sqltypes.Value, n)
 	pool := ex.workerPool()
-	type wstate struct {
-		prog vecExpr
-		sc   *scope
-	}
-	states := make([]*wstate, ex.par)
+	progs := make([]vecExpr, ex.par)
 	err := parallelFor(ex.par, nm, func(w, m int) error {
 		we := pool.worker(w)
-		ws := states[w]
-		if ws == nil {
-			wsc := &scope{parent: sc.parent, bindings: sc.bindings}
-			ws = &wstate{sc: wsc, prog: we.vecCompile(arg, sc.bindings, wsc)}
-			states[w] = ws
+		if progs[w] == nil {
+			progs[w] = we.vecCompile(arg, sc.bindings, &scope{parent: sc.parent, bindings: sc.bindings})
 		}
 		lo := m * morsel
 		hi := lo + morsel
 		if hi > n {
 			hi = n
 		}
-		if ws.prog != nil {
-			src := scanOp{rows: rows[lo:hi]}
-			var b Batch
-			for src.next(&b) {
-				if err := we.cancelled(); err != nil {
-					return err
-				}
-				out := col[lo+b.base : lo+b.base+len(b.rows)]
-				ws.prog(&b, b.sel, out)
-				if err := b.firstErr(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for i := lo; i < hi; i++ {
-			if i%batchSize == 0 {
-				if err := we.cancelled(); err != nil {
-					return err
-				}
-			}
-			ws.sc.row = rows[i]
-			v, err := we.eval(arg, ws.sc)
-			if err != nil {
+		src := scanOp{rows: rows[lo:hi]}
+		var b Batch
+		for src.next(&b) {
+			if err := we.cancelled(); err != nil {
 				return err
 			}
-			col[i] = v
+			out := col[lo+b.base : lo+b.base+len(b.rows)]
+			progs[w](&b, b.sel, out)
+			if err := b.firstErr(); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
@@ -238,7 +214,7 @@ type parallelScanFilter struct {
 	ex     *exec
 	rows   [][]sqltypes.Value
 	rel    *relation
-	conjs  []sqlast.Expr
+	conjs  []*conjunct
 	parent *scope
 
 	kept [][]sqltypes.Value
@@ -256,11 +232,7 @@ type parallelScanFilter struct {
 }
 
 func newParallelScanFilter(ex *exec, rows [][]sqltypes.Value, rel *relation, conjs []*conjunct, parent *scope) *parallelScanFilter {
-	exprs := make([]sqlast.Expr, len(conjs))
-	for i, c := range conjs {
-		exprs[i] = c.expr
-	}
-	return &parallelScanFilter{ex: ex, rows: rows, rel: rel, conjs: exprs, parent: parent}
+	return &parallelScanFilter{ex: ex, rows: rows, rel: rel, conjs: conjs, parent: parent}
 }
 
 func (o *parallelScanFilter) Open(ex *exec) error {
@@ -270,35 +242,18 @@ func (o *parallelScanFilter) Open(ex *exec) error {
 	outs := make([][][]sqltypes.Value, nm)
 	merrs := make([]error, nm)
 	pool := o.ex.workerPool()
-	type wstate struct {
-		sc    *scope
-		progs []vecExpr
-	}
-	states := make([]*wstate, o.ex.par)
+	progs := make([][]vecExpr, o.ex.par)
 	parallelFor(o.ex.par, nm, func(w, m int) error {
 		we := pool.worker(w)
-		ws := states[w]
-		if ws == nil {
-			ws = &wstate{sc: o.rel.scopeFor(o.parent)}
-			if !we.db.noCompile {
-				ws.progs = make([]vecExpr, len(o.conjs))
-				for i, e := range o.conjs {
-					ws.progs[i] = we.vecCompile(e, o.rel.bindings, ws.sc)
-				}
-			}
-			states[w] = ws
+		if progs[w] == nil {
+			progs[w] = we.filterProgs(o.conjs, o.rel.bindings, o.rel.scopeFor(o.parent))
 		}
 		lo := m * morsel
 		hi := lo + morsel
 		if hi > n {
 			hi = n
 		}
-		f := &filterOp{src: &scanOp{rows: o.rows[lo:hi]}, ex: we, sc: ws.sc}
-		if ws.progs != nil {
-			f.progs = ws.progs
-		} else {
-			f.exprs = o.conjs
-		}
+		f := &filterOp{src: &scanOp{rows: o.rows[lo:hi]}, progs: progs[w]}
 		var b Batch
 		var kept [][]sqltypes.Value
 		for f.next(&b) {

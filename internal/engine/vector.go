@@ -11,7 +11,10 @@ package engine
 // outside a group), as a loop over the tree-walking interpreter. Lifting
 // preserves exact per-row value and error semantics by construction, so
 // mixing native kernels with lifted subtrees stays behaviourally identical
-// to full interpretation.
+// to full interpretation. With compilation disabled (SetCompileExprs(false))
+// the whole expression is lifted to the interpreter, so both modes feed the
+// same batch loops; the row-at-a-time reference is the materializing
+// executor (exec.go).
 //
 // Contract for every vecExpr fn(b, sel, out):
 //   - on entry b.errs[i] == nil for every i in sel;
@@ -98,12 +101,13 @@ type venv struct {
 }
 
 // vecCompile lowers e into a batch evaluator over the flat row layout of
-// bindings; sc is the evaluation scope lifted interpretation runs in. It
-// returns nil only when compilation is disabled (SetCompileExprs(false)) —
-// operators then stay on their row-at-a-time loops.
+// bindings; sc is the evaluation scope lifted interpretation runs in. With
+// compilation disabled (SetCompileExprs(false)) the evaluator interprets the
+// whole expression per selected row, so operators run one batch loop in
+// both modes.
 func (ex *exec) vecCompile(e sqlast.Expr, bindings []*binding, sc *scope) vecExpr {
 	if ex.db.noCompile {
-		return nil
+		return vecInterp(ex, e, sc)
 	}
 	env := &cenv{db: ex.db, cat: ex.cat, bindings: bindings, clientBinds: !scopeHasParams(sc)}
 	ve := &venv{env: env, ex: ex, sc: sc, vs: &ex.vs}
@@ -215,7 +219,12 @@ func (ve *venv) lift(e sqlast.Expr) vecExpr {
 			}
 		}
 	}
-	ex, sc := ve.ex, ve.sc
+	return vecInterp(ve.ex, e, ve.sc)
+}
+
+// vecInterp evaluates e with the tree-walking interpreter for each selected
+// row, installing the row in sc and poisoning the rows that fail.
+func vecInterp(ex *exec, e sqlast.Expr, sc *scope) vecExpr {
 	return func(b *Batch, sel []int32, out []sqltypes.Value) {
 		rows := b.rows
 		for _, i := range sel {
@@ -712,12 +721,8 @@ type vecKeySet struct {
 	cols  [][]sqltypes.Value
 }
 
-// vecKeys compiles one batch program per expression; nil when compilation
-// is disabled.
+// vecKeys compiles one batch program per expression.
 func (ex *exec) vecKeys(exprs []sqlast.Expr, bindings []*binding, sc *scope) *vecKeySet {
-	if ex.db.noCompile {
-		return nil
-	}
 	ks := &vecKeySet{ex: ex, progs: make([]vecExpr, len(exprs)), cols: make([][]sqltypes.Value, len(exprs))}
 	for i, e := range exprs {
 		ks.progs[i] = ex.vecCompile(e, bindings, sc)
@@ -762,9 +767,6 @@ func (ks *vecKeySet) compute(b *Batch, dropNulls bool, nullMask []bool) []int32 
 // vectorized counterpart the grouped projection hands to evalAggregate,
 // which streams each group's rows through them batch-at-a-time.
 func (ex *exec) vecAggArgs(bindings []*binding, sc *scope, exprs ...sqlast.Expr) map[sqlast.Expr]vecExpr {
-	if ex.db.noCompile {
-		return nil
-	}
 	var m map[sqlast.Expr]vecExpr
 	for _, e := range exprs {
 		sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
@@ -775,12 +777,10 @@ func (ex *exec) vecAggArgs(bindings []*binding, sc *scope, exprs ...sqlast.Expr)
 			if _, done := m[fc.Args[0]]; done {
 				return true
 			}
-			if fn := ex.vecCompile(fc.Args[0], bindings, sc); fn != nil {
-				if m == nil {
-					m = make(map[sqlast.Expr]vecExpr)
-				}
-				m[fc.Args[0]] = fn
+			if m == nil {
+				m = make(map[sqlast.Expr]vecExpr)
 			}
+			m[fc.Args[0]] = ex.vecCompile(fc.Args[0], bindings, sc)
 			return true
 		})
 	}

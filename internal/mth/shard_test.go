@@ -472,3 +472,55 @@ func TestShardWriteRouting(t *testing.T) {
 		t.Errorf("replica region rows = %d, want 6", n)
 	}
 }
+
+// TestShardGlobalTopBlockQ20 pins the routing of Q20: its top block reads
+// only global tables (supplier, nation) and its tenant tables appear only
+// in an IN-subquery, so a supplier can qualify on several shards at once.
+// Scattering would return it once per shard; the router must take the
+// fallback. At sf=0.01, T=10, seed 2 one supplier qualifies on both of two
+// shards.
+func TestShardGlobalTopBlockQ20(t *testing.T) {
+	d := Generate(Config{SF: 0.01, Tenants: 10, Dist: Uniform, Seed: 2, Mode: engine.ModePostgres})
+	q, err := QueryByID(d.Cfg.SF, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := LoadMT(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinst, err := LoadMTSharded(d, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.GrantReadTo(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sinst.GrantReadTo(1); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := inst.Connect(1, "IN ()")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sconn, err := sinst.Connect(1, "IN ()")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []optimizer.Level{optimizer.Canonical, optimizer.O4} {
+		conn.SetOptLevel(level)
+		sconn.SetOptLevel(level)
+		want, err := RunOnMT(conn, q)
+		if err != nil {
+			t.Fatalf("level=%v unsharded: %v", level, err)
+		}
+		got, err := RunOnMT(sconn, q)
+		if err != nil {
+			t.Fatalf("level=%v sharded: %v", level, err)
+		}
+		if exactKey(got) != exactKey(want) {
+			t.Errorf("level=%v: sharded Q20 returns %d rows, unsharded %d\n got: %.400s\nwant: %.400s",
+				level, len(got.Rows), len(want.Rows), exactKey(got), exactKey(want))
+		}
+	}
+}

@@ -227,6 +227,9 @@ func planAggregate(ctx *rewrite.Context, agg *sqlast.FuncCall, nextID *int) (*ag
 		return &sqlast.ColumnRef{Table: partAlias, Name: alias}
 	}
 
+	if len(agg.Args) != 1 && !(upper == "COUNT" && agg.Star) {
+		return nil, false, nil, false // malformed call: left for the engine to reject
+	}
 	if upper == "COUNT" {
 		// COUNT distributes over every conversion class; conversions
 		// inside the argument preserve NULLs and can simply be stripped.
@@ -251,9 +254,6 @@ func planAggregate(ctx *rewrite.Context, agg *sqlast.FuncCall, nextID *int) (*ag
 		}, false, nil, true
 	}
 
-	if len(agg.Args) != 1 {
-		return nil, false, nil, false
-	}
 	arg := agg.Args[0]
 	cc := findSingleConversion(ctx, arg)
 

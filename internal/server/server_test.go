@@ -430,4 +430,3 @@ func TestCancelMidStream(t *testing.T) {
 		t.Fatalf("after cancel: %v", err)
 	}
 }
-

@@ -358,7 +358,7 @@ func (c *Conn) fallback(ctx context.Context, sql string, args []any, d []int64, 
 	}
 	rows, err := c.rconn.QueryContext(ctx, sql, args...)
 	c.rconn.ExecStatement(c.sessionScope()) //nolint:errcheck // scope install cannot fail
-	clear() // the cursor pinned its copy-on-write snapshot at creation
+	clear()                                 // the cursor pinned its copy-on-write snapshot at creation
 	if err != nil {
 		return nil, err
 	}

@@ -211,6 +211,7 @@ func (c *classifier) visitSelect(sel *sqlast.Select, parent *rtScope, top bool) 
 	for _, te := range sel.From {
 		visitFrom(te)
 	}
+	fromTenant := hasTenant
 
 	if !top && hasTenant && (sel.Limit >= 0 || sel.Distinct) {
 		// A nested LIMIT/DISTINCT over tenant rows is order- or
@@ -245,6 +246,12 @@ func (c *classifier) visitSelect(sel *sqlast.Select, parent *rtScope, top bool) 
 	}
 	for _, g := range sel.GroupBy {
 		hasTenant = c.visitSubqueriesOnly(g, scope) || hasTenant
+	}
+	if top && !fromTenant && hasTenant {
+		// Global top rows filtered or computed through tenant subqueries:
+		// a row may qualify on several shards, and each shard sees only
+		// its own tenants' share of the subquery.
+		c.bad = true
 	}
 	return hasTenant
 }

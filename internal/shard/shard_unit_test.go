@@ -163,6 +163,14 @@ func TestAnalyzeClassification(t *testing.T) {
 			pinned: true, // zero tenant components ≤ 1; router still scatters trivially
 		},
 		{
+			// Q20 shape: the top block reads only global rows, tenant rows
+			// appear only in a subquery. A global row can qualify on
+			// several shards, so scattering would return it once per shard.
+			name:   "global top block over a tenant subquery is unpinned",
+			sql:    "SELECT re_name FROM regions WHERE re_id IN (SELECT e_role FROM emp WHERE e_age > 30) ORDER BY re_name",
+			pinned: false,
+		},
+		{
 			name:    "pinned aggregation pushes partials",
 			sql:     "SELECT e_role, COUNT(*) AS n, AVG(e_age) AS a FROM emp GROUP BY e_role ORDER BY e_role",
 			pinned:  true,
